@@ -15,6 +15,13 @@
 ///     flattened per-layer union areas equal the flat artwork's, and the
 ///     GDS AREF stream stays well-formed with exactly one AREF.
 ///
+/// A second table runs the compiler's own masks the way a mask import
+/// sees them: smallChip(4) and largeChip(16,8) written as hierarchical
+/// CIF, parsed back, and checked and extracted through `HierIndex`
+/// against the flatten (rows `hier_chip_small_*`, `hier_chip_large_*`,
+/// best of 5). Their die-sized residual pairs with every placement,
+/// which the synthetic arrays never exercise. Same equivalence aborts.
+///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the sweep for CI (and skips the
 /// google-benchmark timings).
 
@@ -22,6 +29,8 @@
 
 #include "cell/flatten.hpp"
 #include "cell/hier_index.hpp"
+#include "core/samples.hpp"
+#include "core/session.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/sweep.hpp"
@@ -227,6 +236,78 @@ void printTable(bool smoke) {
   std::printf("(every row gated on flat/hier equivalence: DRC sets, netlists, mask areas)\n\n");
 }
 
+/// Best-of-`reps` wall seconds of `f`.
+template <class F>
+double bestSeconds(int reps, F&& f) {
+  double best = 0;
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    f();
+    const double s = secondsSince(t0);
+    if (i == 0 || s < best) best = s;
+  }
+  return best;
+}
+
+void printChipTable() {
+  const drc::DeckChecker checker(tech::meadConwayRules());
+  std::printf("== HIER-SCALING: compiled chips read back from hierarchical CIF ==\n");
+  std::printf("%-16s %7s %6s %9s %12s %12s %9s %12s %12s %9s\n", "chip", "places", "resid",
+              "rects", "drc_flat_ms", "drc_hier_ms", "drc_x", "ext_flat_ms", "ext_hier_ms",
+              "ext_x");
+  const std::pair<const char*, icl::ChipDesc> chips[] = {
+      {"small", core::samples::smallChip(4)}, {"large", core::samples::largeChip(16, 8)}};
+  for (const auto& [label, desc] : chips) {
+    const auto chip = core::compileChip(desc);
+    if (!chip) {
+      std::fprintf(stderr, "FATAL: sample chip %s failed to compile\n", label);
+      std::abort();
+    }
+    cell::CellLibrary lib;
+    const layout::CifParseResult parsed =
+        layout::parseCif(layout::writeCifHier(*(*chip)->top), lib);
+    if (!parsed.ok) {
+      std::fprintf(stderr, "FATAL: %s CIF does not parse: %s\n", label, parsed.error.c_str());
+      std::abort();
+    }
+    const cell::FlatLayout flat = cell::flatten(*parsed.top);
+    const cell::HierIndex hier(*parsed.top);
+    const auto rects = static_cast<long long>(hier.flatCount());
+    const std::string row = std::string("hier_chip_") + label;
+
+    drc::DrcReport flatRep;
+    drc::DrcReport hierRep;
+    const double drcFlatS =
+        bestSeconds(5, [&] { flatRep = checker.check(flat, parsed.top->boundary()); });
+    const double drcHierS = bestSeconds(5, [&] { hierRep = checker.checkHier(hier); });
+    if (violationSet(flatRep) != violationSet(hierRep)) {
+      std::fprintf(stderr, "FATAL: %s checkHier diverged from check (flat=%zu hier=%zu)\n",
+                   label, flatRep.violations.size(), hierRep.violations.size());
+      std::abort();
+    }
+    extract::ExtractResult flatEx;
+    extract::ExtractResult hierEx;
+    const double extFlatS = bestSeconds(5, [&] { flatEx = extract::extractFlat(flat, {}); });
+    const double extHierS = bestSeconds(5, [&] { hierEx = extract::extractHier(hier, {}); });
+    std::string why;
+    if (!extract::netlistsEquivalent(flatEx, hierEx, &why)) {
+      std::fprintf(stderr, "FATAL: %s extractHier diverged from extractFlat: %s\n", label,
+                   why.c_str());
+      std::abort();
+    }
+    bench::BenchJson& bj = bench::BenchJson::instance();
+    bj.recordRun(row + "_drc_flat", rects, drcFlatS);
+    bj.recordRun(row + "_drc", rects, drcHierS);
+    bj.recordRun(row + "_extract_flat", rects, extFlatS);
+    bj.recordRun(row + "_extract", rects, extHierS);
+    std::printf("%-16s %7zu %6zu %9lld %12.2f %12.2f %8.1fx %12.2f %12.2f %8.1fx\n",
+                (std::string(label) + "Chip").c_str(), hier.placements().size(),
+                hier.residual().totalCount(), rects, drcFlatS * 1e3, drcHierS * 1e3,
+                drcFlatS / drcHierS, extFlatS * 1e3, extHierS * 1e3, extFlatS / extHierS);
+  }
+  std::printf("(every row gated on flat/hier equivalence: DRC sets and netlists)\n\n");
+}
+
 void BM_HierDrc(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   cell::CellLibrary lib;
@@ -258,6 +339,7 @@ BENCHMARK(BM_FlatDrc)->RangeMultiplier(2)->Range(4, 16)->Unit(benchmark::kMillis
 int main(int argc, char** argv) {
   const bool smoke = std::getenv("BB_BENCH_SMOKE") != nullptr;
   printTable(smoke);
+  printChipTable();
   if (!bench::BenchJson::instance().write()) {
     std::fprintf(stderr, "FATAL: failed to land perf rows in BENCH.json (cause above)\n");
     return 1;

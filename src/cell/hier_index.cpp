@@ -115,7 +115,8 @@ HierIndex::HierIndex(const Cell& top, std::size_t minUnitShapes) : top_(&top) {
       acc = acc.unionWith(r);
     }
   };
-  if (residual_.totalCount() > 0) grow(residual_.bbox());
+  residualBBox_ = residual_.bbox();
+  if (residual_.totalCount() > 0) grow(residualBBox_);
   flatCount_ = residual_.totalCount();
   uniqueCount_ = residual_.totalCount();
   for (const RawPlacement& rp : raw) {

@@ -81,6 +81,10 @@ class HierIndex {
   }
   /// Bounding box of everything (residual plus placed unit bboxes).
   [[nodiscard]] const geom::Rect& bbox() const noexcept { return bbox_; }
+  /// `residual().bbox()`, computed once at construction. The residual of
+  /// a compiled chip spans the die and pairs with every placement, so
+  /// the per-pair consumers must not rescan it.
+  [[nodiscard]] const geom::Rect& residualBBox() const noexcept { return residualBBox_; }
 
   /// Primitive count the full flatten would hold (sum over placements of
   /// unit counts, plus residual) vs. what is actually resident here.
@@ -123,6 +127,7 @@ class HierIndex {
   std::vector<HierPlacement> placements_;
   geom::RectIndex placementIndex_;  ///< over placement world bboxes
   geom::Rect bbox_{};
+  geom::Rect residualBBox_{};
   std::size_t flatCount_ = 0;
   std::size_t uniqueCount_ = 0;
   mutable std::atomic<std::uint64_t> materialized_{0};

@@ -6,6 +6,7 @@
 #include "geom/sweep.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -377,15 +378,63 @@ void runPolyWidthRule(const tech::WidthRule& wr, const cell::FlatLayout& flat,
   }
 }
 
+bool touchesAny(const Rect& r, const std::vector<Rect>& x) {
+  return std::any_of(x.begin(), x.end(), [&r](const Rect& p) { return r.touches(p); });
+}
+
+bool regionsTouch(const std::vector<Rect>& x, const std::vector<Rect>& y) {
+  return std::any_of(x.begin(), x.end(), [&y](const Rect& r) { return touchesAny(r, y); });
+}
+
+/// The exact polygon pair test, shared by the flat and the
+/// hierarchical spacing units. A violation exists iff some piece of
+/// `ra`, dilated by `sr.min - 1`, touches a piece of `rb` (exactly
+/// Chebyshev gap < min, the rect rule's metric) and the regions do not
+/// touch (same feature / intentional crossing). Same-layer pairs are
+/// exempt when `bridged()` finds third material touching both; it is
+/// asked only for such near pairs. Pairs that both reach the boundary
+/// are interface wiring. The closest piece pair is reported (first
+/// minimum wins: deterministic).
+template <class Bridged>
+void checkPolyPair(const tech::SpacingRule& sr, const std::vector<Rect>& ra,
+                   const std::vector<Rect>& rb, const Rect& boundary, const DrcOptions& opts,
+                   Bridged&& bridged, std::vector<Violation>& out) {
+  const Coord m = sr.min - 1;
+  if (regionsTouch(ra, rb)) return;
+  const bool near = std::any_of(ra.begin(), ra.end(), [&](const Rect& rx) {
+    return touchesAny(rx.expandedXY(m, m), rb);
+  });
+  if (!near) return;  // gap >= sr.min
+  if (sr.a == sr.b && bridged()) return;
+  const auto anyTouchesBoundary = [&boundary](const std::vector<Rect>& x) {
+    return std::any_of(x.begin(), x.end(),
+                       [&boundary](const Rect& r) { return touchesBoundary(r, boundary); });
+  };
+  if (opts.boundaryConditions && anyTouchesBoundary(ra) && anyTouchesBoundary(rb)) {
+    return;  // interface wiring; contract guarantees the far side
+  }
+  Coord gap = -1;
+  Rect where{};
+  for (const Rect& rx : ra) {
+    for (const Rect& ry : rb) {
+      const Coord g = gapBetween(rx, ry);
+      if (gap < 0 || g < gap) {
+        gap = g;
+        where = rx.unionWith(ry);
+      }
+    }
+  }
+  out.push_back({sr.name, sr.a, sr.b, where,
+                 "polygon gap " + std::to_string(gap) + " < " + std::to_string(sr.min)});
+}
+
 /// Spacing check involving polygon features: polygon-vs-polygon,
-/// polygon-vs-rect, and (for cross-layer rules) rect-vs-polygon pairs.
-/// The exact pair test is an offset-and-intersect probe: a violation
-/// exists iff some piece of A, dilated by `min - 1`, touches a piece of
-/// B — exactly Chebyshev gap <= min-1 < min, the metric the rect rule
-/// uses. Candidates come from the `SegmentIndex` over B's edges (or the
-/// per-layer `RectIndex` for rect partners); the brute path scans all
-/// partners. Both paths run the identical exact test over ascending
-/// partner order, so the violations are bit-identical.
+/// polygon-vs-rect, and (for cross-layer rules) rect-vs-polygon pairs,
+/// each through `checkPolyPair`. Candidates come from the
+/// `SegmentIndex` over B's edges (or the per-layer `RectIndex` for rect
+/// partners); the brute path scans all partners. Both paths run the
+/// identical exact test over ascending partner order, so the violations
+/// are bit-identical.
 void runPolySpacingRule(const tech::SpacingRule& sr, const cell::FlatLayout& flat,
                         const geom::Rect& boundary, const DrcOptions& opts,
                         std::vector<Violation>& out) {
@@ -398,29 +447,6 @@ void runPolySpacingRule(const tech::SpacingRule& sr, const cell::FlatLayout& fla
   const std::vector<PolyFeature>& fb = same ? fa : fbStore;
   if (fa.empty() && fb.empty()) return;  // polygon-free: classic rule covers it
 
-  const auto regionsTouch = [](const std::vector<Rect>& x, const std::vector<Rect>& y) {
-    for (const Rect& rx : x) {
-      for (const Rect& ry : y) {
-        if (rx.touches(ry)) return true;
-      }
-    }
-    return false;
-  };
-  const auto dilatedTouches = [m](const std::vector<Rect>& x, const std::vector<Rect>& y) {
-    for (const Rect& rx : x) {
-      const Rect e = rx.expandedXY(m, m);
-      for (const Rect& ry : y) {
-        if (e.touches(ry)) return true;
-      }
-    }
-    return false;
-  };
-  const auto anyTouchesBoundary = [&boundary](const std::vector<Rect>& x) {
-    for (const Rect& r : x) {
-      if (touchesBoundary(r, boundary)) return true;
-    }
-    return false;
-  };
   // Same-layer bridging: a third piece of material on the layer touching
   // both features makes them one feature. Resolved by the same brute
   // scan in both modes (bridge resolution is not candidate discovery —
@@ -430,21 +456,7 @@ void runPolySpacingRule(const tech::SpacingRule& sr, const cell::FlatLayout& fla
                            std::size_t skipA, std::size_t skipB, const Rect* skipRect) {
     for (const Rect& o : flat.on(sr.a)) {
       if (skipRect != nullptr && o == *skipRect) continue;
-      bool ta = false, tb = false;
-      for (const Rect& rx : ra) {
-        if (o.touches(rx)) {
-          ta = true;
-          break;
-        }
-      }
-      if (!ta) continue;
-      for (const Rect& ry : rb) {
-        if (o.touches(ry)) {
-          tb = true;
-          break;
-        }
-      }
-      if (tb) return true;
+      if (touchesAny(o, ra) && touchesAny(o, rb)) return true;
     }
     for (std::size_t k = 0; k < fa.size(); ++k) {
       if (k == skipA || k == skipB) continue;
@@ -454,26 +466,9 @@ void runPolySpacingRule(const tech::SpacingRule& sr, const cell::FlatLayout& fla
   };
   const auto checkPair = [&](const std::vector<Rect>& ra, const std::vector<Rect>& rb,
                              std::size_t skipA, std::size_t skipB, const Rect* skipRect) {
-    if (regionsTouch(ra, rb)) return;  // same feature / intentional crossing
-    if (!dilatedTouches(ra, rb)) return;  // gap >= sr.min
-    if (same && bridged(ra, rb, skipA, skipB, skipRect)) return;
-    if (opts.boundaryConditions && anyTouchesBoundary(ra) && anyTouchesBoundary(rb)) {
-      return;  // interface wiring; contract guarantees the far side
-    }
-    // Report the closest piece pair (first minimum wins: deterministic).
-    Coord gap = -1;
-    Rect where{};
-    for (const Rect& rx : ra) {
-      for (const Rect& ry : rb) {
-        const Coord g = gapBetween(rx, ry);
-        if (gap < 0 || g < gap) {
-          gap = g;
-          where = rx.unionWith(ry);
-        }
-      }
-    }
-    out.push_back({sr.name, sr.a, sr.b, where,
-                   "polygon gap " + std::to_string(gap) + " < " + std::to_string(sr.min)});
+    checkPolyPair(
+        sr, ra, rb, boundary, opts, [&] { return bridged(ra, rb, skipA, skipB, skipRect); },
+        out);
   };
 
   std::vector<int> edgeOwner;
@@ -560,7 +555,7 @@ std::vector<Rect> sourceRectsNear(const cell::HierIndex& hier, std::size_t src, 
 
 Rect sourceBBox(const cell::HierIndex& hier, std::size_t src) {
   const auto& ps = hier.placements();
-  return src < ps.size() ? ps[src].worldBBox : hier.residual().bbox();
+  return src < ps.size() ? ps[src].worldBBox : hier.residualBBox();
 }
 
 /// One spacing rule across a pair of hier sources: only the rects near
@@ -603,6 +598,156 @@ void runSpacingAcross(const tech::SpacingRule& sr, const cell::HierIndex& hier,
   };
   pass(srcI, srcJ);
   if (sr.a != sr.b) pass(srcJ, srcI);  // flat pairs a-rects with b-rects both ways
+}
+
+/// One polygon of a hier source's layout (a unit, or the residual) in
+/// local coordinates, with its local bbox.
+struct LocalPoly {
+  const geom::Polygon* poly;
+  Rect bbox;
+};
+
+/// A polygon feature of a hier source in world coordinates: its DRC
+/// region, decomposed after the transform exactly as the flatten sees
+/// it, and its (source, index) identity for bridge exclusion.
+struct WorldPoly {
+  std::size_t src;
+  std::size_t idx;
+  std::vector<Rect> region;
+};
+
+/// Per-layer polygon tables of every hier source, built once per
+/// `checkHier` so pair jobs only filter and transform.
+class HierPolys {
+ public:
+  explicit HierPolys(const cell::HierIndex& hier) : hier_(&hier) {
+    tables_.reserve(hier.units().size() + 1);
+    for (const cell::HierUnit& u : hier.units()) add(u.flat);
+    add(hier.residual());  // table index units().size()
+  }
+
+  [[nodiscard]] bool present(Layer l) const { return present_[slot(l)]; }
+
+  /// World features of source `src` on `l` whose bbox touches `win`,
+  /// in ascending local order.
+  void near(std::size_t src, Layer l, const Rect& win, std::vector<WorldPoly>& out) const {
+    out.clear();
+    const auto& ps = hier_->placements();
+    const bool placed = src < ps.size();
+    const std::vector<LocalPoly>& fs = tables_[placed ? ps[src].unit : tables_.size() - 1][slot(l)];
+    if (fs.empty()) return;
+    const Rect lw = placed ? ps[src].t.inverted()(win) : win;
+    for (std::size_t k = 0; k < fs.size(); ++k) {
+      if (!fs[k].bbox.touches(lw)) continue;
+      out.push_back({src, k, polygonRegion(placed ? ps[src].t(*fs[k].poly) : *fs[k].poly)});
+    }
+  }
+
+ private:
+  static std::size_t slot(Layer l) { return static_cast<std::size_t>(l); }
+
+  void add(const cell::FlatLayout& flat) {
+    std::array<std::vector<LocalPoly>, tech::kLayerCount>& t = tables_.emplace_back();
+    for (const auto& [l, p] : flat.polygons) {
+      t[slot(l)].push_back({&p, p.bbox()});
+      present_[slot(l)] = true;
+    }
+  }
+
+  const cell::HierIndex* hier_;
+  std::vector<std::array<std::vector<LocalPoly>, tech::kLayerCount>> tables_;
+  std::array<bool, tech::kLayerCount> present_{};
+};
+
+/// The polygon half of one spacing rule across a pair of hier sources:
+/// polygon-vs-polygon, polygon-vs-rect and (cross-layer) rect-vs-polygon
+/// pairs, with `checkPolyPair`'s exact flat semantics. Same-layer
+/// bridging sees the whole hierarchy's rects and polygons. A polygon or
+/// rect is a candidate only if it touches the other source's bbox plus
+/// the margin; nothing farther can come within `min - 1` of it.
+void runPolySpacingAcross(const tech::SpacingRule& sr, const cell::HierIndex& hier,
+                          const HierPolys& polys, std::size_t srcI, std::size_t srcJ,
+                          const Rect& boundary, const DrcOptions& opts,
+                          std::vector<Violation>& out) {
+  if (sr.min <= 0 || !(polys.present(sr.a) || polys.present(sr.b))) return;
+  const Coord m = sr.min - 1;
+  const bool same = sr.a == sr.b;
+  const std::size_t P = hier.placements().size();
+
+  const auto bridged = [&](const std::vector<Rect>& ra, const std::vector<Rect>& rb,
+                           const WorldPoly* fa, const WorldPoly* fb, const Rect* skipRect) {
+    bool found = false;
+    for (const Rect& rx : ra) {
+      hier.forEachRectTouching(sr.a, rx, [&](const Rect& o) {
+        if (found || (skipRect != nullptr && o == *skipRect)) return;
+        found = touchesAny(o, rb);
+      });
+      if (found) return true;
+    }
+    const auto isOneOf = [&](const WorldPoly& w) {
+      const auto is = [&w](const WorldPoly* f) {
+        return f != nullptr && f->src == w.src && f->idx == w.idx;
+      };
+      return is(fa) || is(fb);
+    };
+    Rect box = ra.front();
+    for (const Rect& r : ra) box = box.unionWith(r);
+    std::vector<WorldPoly> others;
+    const auto trySource = [&](std::size_t src) {
+      if (found) return;
+      polys.near(src, sr.a, box, others);
+      for (const WorldPoly& w : others) {
+        if (isOneOf(w)) continue;
+        if (regionsTouch(w.region, ra) && regionsTouch(w.region, rb)) found = true;
+      }
+    };
+    trySource(P);
+    hier.forEachPlacementNear(box, 0, trySource);
+    return found;
+  };
+
+  std::vector<WorldPoly> pa;
+  std::vector<WorldPoly> pb;
+  std::vector<Rect> one(1);
+  const auto pass = [&](std::size_t sa, std::size_t sb, bool first) {
+    const Rect nearB = sourceBBox(hier, sb).expandedXY(m, m);
+    const Rect nearA = sourceBBox(hier, sa).expandedXY(m, m);
+    polys.near(sa, sr.a, nearB, pa);
+    polys.near(sb, sr.b, nearA, pb);
+    // polygon(a) vs polygon(b); a same-layer pair is visited once.
+    if (!same || first) {
+      for (const WorldPoly& fa : pa) {
+        for (const WorldPoly& fb : pb) {
+          checkPolyPair(
+              sr, fa.region, fb.region, boundary, opts,
+              [&] { return bridged(fa.region, fb.region, &fa, &fb, nullptr); }, out);
+        }
+      }
+    }
+    // polygon(a) vs plain rect(b).
+    if (!pa.empty()) {
+      for (const Rect& rb : sourceRectsNear(hier, sb, sr.b, nearA)) {
+        one[0] = rb;
+        for (const WorldPoly& fa : pa) {
+          checkPolyPair(
+              sr, fa.region, one, boundary, opts,
+              [&] { return bridged(fa.region, one, &fa, nullptr, &rb); }, out);
+        }
+      }
+    }
+    // plain rect(a) vs polygon(b), cross-layer only: the same-layer
+    // case is the other pass's polygon-vs-rect.
+    if (!same && !pb.empty()) {
+      for (const Rect& ra : sourceRectsNear(hier, sa, sr.a, nearB)) {
+        one[0] = ra;
+        for (const WorldPoly& fb : pb) {
+          checkPolyPair(sr, one, fb.region, boundary, opts, [] { return false; }, out);
+        }
+      }
+    }
+  };
+  pass(srcI, srcJ, true);
+  pass(srcJ, srcI, false);
 }
 
 }  // namespace
@@ -722,7 +867,7 @@ DrcReport DeckChecker::checkHier(const cell::HierIndex& hier,
     });
   }
   if (residualUsed) {
-    const geom::Rect rb = hier.residual().bbox();
+    const geom::Rect& rb = hier.residualBBox();
     for (std::size_t i = 0; i < P; ++i) {
       if (gapBetween(rb, ps[i].worldBBox) <= maxMargin) pairs.emplace_back(i, P);
     }
@@ -732,6 +877,7 @@ DrcReport DeckChecker::checkHier(const cell::HierIndex& hier,
   // Independent jobs: one per unique-cell interior (checked ONCE against
   // its own boundary), one for the residual, one per interaction pair.
   const std::size_t NU = us.size();
+  const HierPolys polys(hier);
   std::vector<std::vector<Violation>> unitViol(NU);
   std::vector<Violation> residViol;
   std::vector<std::vector<Violation>> pairViol(pairs.size());
@@ -742,10 +888,18 @@ DrcReport DeckChecker::checkHier(const cell::HierIndex& hier,
       if (residualUsed) residViol = check(hier.residual(), boundary, 1).violations;
     } else {
       const auto [i, j] = pairs[k - NU - 1];
+      std::vector<Violation>& out = pairViol[k - NU - 1];
+      // Polygon pairs after every rect pair, as in the flat plan.
       for (const Unit& u : units_) {
-        if (u.kind != Unit::Kind::Spacing) continue;
-        runSpacingAcross(deck_->spacings[u.index], hier, i, j, boundary, opts_,
-                         pairViol[k - NU - 1]);
+        if (u.kind == Unit::Kind::Spacing) {
+          runSpacingAcross(deck_->spacings[u.index], hier, i, j, boundary, opts_, out);
+        }
+      }
+      for (const Unit& u : units_) {
+        if (u.kind == Unit::Kind::PolySpacing) {
+          runPolySpacingAcross(deck_->spacings[u.index], hier, polys, i, j, boundary, opts_,
+                               out);
+        }
       }
     }
   };

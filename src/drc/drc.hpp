@@ -91,8 +91,8 @@ class DeckChecker {
   /// through the placement transform; the residual gets the full rule
   /// set against the top boundary; then only the *interaction regions* —
   /// spacing rules across pairs of sources whose bboxes come within the
-  /// rule margin — are pair-checked, with bridge material resolved
-  /// across the whole hierarchy. Work scales with unique-cell geometry
+  /// rule margin, for rects and polygons alike — are pair-checked, with
+  /// bridge material resolved across the whole hierarchy. Work scales with unique-cell geometry
   /// plus interaction area instead of instance count.
   ///
   /// Equivalent to the flat `check` on *well-formed* hierarchies: cells

@@ -114,7 +114,7 @@ std::unique_ptr<Element> makeRegfile(const icl::ElementDecl& decl, const icl::Ch
   std::string selName;
   if (sel == nullptr || !sel->isName()) {
     diags.error(decl.loc, "regfile '" + decl.name + "': missing 'select' field parameter");
-    selName = "?";
+    selName += '?';  // not `= "?"`: GCC 12 -Wrestrict false positive (bug 105329)
   } else {
     selName = sel->asText();
     const icl::FieldDecl* f = chip.microcode.field(selName);

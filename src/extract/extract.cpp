@@ -4,7 +4,7 @@
 #include "geom/rect_index.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <numeric>
 #include <optional>
 #include <tuple>
@@ -322,13 +322,14 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
   }
 
   // --- 4. net ids ----------------------------------------------------------
-  std::map<int, int> rootToNet;
+  // Net ids go to union-find roots in first-query order.
+  std::vector<int> rootToNet(pieces.size(), -1);
   auto netOfPiece = [&](int idx) -> int {
-    const int root = uf.find(idx);
-    auto it = rootToNet.find(root);
-    if (it != rootToNet.end()) return it->second;
-    const int id = res.netlist.anonNet();
-    rootToNet[root] = id;
+    int& id = rootToNet[static_cast<std::size_t>(uf.find(idx))];
+    if (id < 0) {
+      id = res.netlist.anonNet();
+      ++res.netCount;
+    }
     return id;
   };
 
@@ -403,7 +404,6 @@ ExtractResult extractFlat(const cell::FlatLayout& flat, const std::vector<NetLab
   // Every conductor piece is an electrical node even if no device or label
   // touched it; materialize those nets so netCount reports true node count.
   for (std::size_t i = 0; i < pieces.size(); ++i) netOfPiece(static_cast<int>(i));
-  res.netCount = rootToNet.size();
 
   // --- 6. per-net ERC classification ---------------------------------------
   res.netInfo.resize(res.netlist.nets().size());
@@ -520,24 +520,41 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
     }
   }
 
+  // Each placement's world -> local transform, inverted once: every
+  // window query below maps a world rect into its source's frame.
+  std::vector<geom::Transform> toLocal(P);
+  for (std::size_t s = 0; s < P; ++s) toLocal[s] = ps[s].t.inverted();
+  const auto localOf = [&](std::size_t s, const Rect& w) { return s < P ? toLocal[s](w) : w; };
+  const auto pieceAt = [&](std::size_t s, int k, int qi) {
+    return srcX(s).layerPieces[static_cast<std::size_t>(k)][static_cast<std::size_t>(qi)];
+  };
+
+  /// Positions in source `s`'s slot-`k` piece index of the pieces
+  /// touching world rect `w`, ascending.
+  const auto queryPieces = [&](std::size_t s, int k, const Rect& w, std::vector<int>& out) {
+    srcX(s).layerIdx[static_cast<std::size_t>(k)].queryTouching(localOf(s, w), out);
+  };
   /// Visit (global id, world rect) of source `s`'s pieces on slot `k`
-  /// touching world rect `w` (local-index ascending).
+  /// touching world rect `w` (local-index ascending). The visitor must
+  /// not call back in: the candidate buffer is shared by every visit.
+  std::vector<int> cand;
   const auto forPieces = [&](std::size_t s, int k, const Rect& w, auto&& f) {
+    queryPieces(s, k, w, cand);
     const StitchSrc& x = srcX(s);
     const geom::Transform t = srcT(s);
-    const Rect lw = s < P ? t.inverted()(w) : w;
-    const auto ks = static_cast<std::size_t>(k);
-    std::vector<int> cand;
-    x.layerIdx[ks].queryTouching(lw, cand);
     for (const int qi : cand) {
-      const int lp = x.layerPieces[ks][static_cast<std::size_t>(qi)];
+      const int lp = pieceAt(s, k, qi);
       f(static_cast<int>(off[s]) + lp, t(x.res.pieces[static_cast<std::size_t>(lp)].r));
     }
+  };
+  const auto queryVias = [&](std::size_t s, Layer vl, const Rect& w, std::vector<int>& out) {
+    const cell::FlatLayout& fl = s < P ? us[ps[s].unit].flat : hier.residual();
+    fl.indexOn(vl).queryTouching(localOf(s, w), out);
   };
 
   // --- 2. boundary stitching over interacting source pairs ---------------
   const auto srcBBox = [&](std::size_t s) {
-    return s < P ? ps[s].worldBBox : hier.residual().bbox();
+    return s < P ? ps[s].worldBBox : hier.residualBBox();
   };
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   for (std::size_t i = 0; i < P; ++i) {
@@ -546,7 +563,7 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
     });
   }
   if (hier.residual().totalCount() > 0) {
-    const Rect rb = hier.residual().bbox();
+    const Rect& rb = hier.residualBBox();
     for (std::size_t i = 0; i < P; ++i) {
       if (rb.touches(ps[i].worldBBox)) pairs.emplace_back(i, P);
     }
@@ -561,39 +578,45 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
   // both sources inside the window and no via of either source reaching
   // it is therefore provably a no-op and skipped outright (the common
   // case in dense tilings where cells abut along blank seams).
-  const auto anyPieceTouching = [&](std::size_t s, int k, const Rect& wr) {
-    const StitchSrc& x = srcX(s);
-    const Rect lw = s < P ? srcT(s).inverted()(wr) : wr;
-    std::vector<int> cand;
-    x.layerIdx[static_cast<std::size_t>(k)].queryTouching(lw, cand);
-    return !cand.empty();
-  };
-  const auto anyViaTouching = [&](std::size_t s, Layer vl, const Rect& wr) {
-    const cell::FlatLayout& fl = s < P ? us[ps[s].unit].flat : hier.residual();
-    const Rect lw = s < P ? srcT(s).inverted()(wr) : wr;
-    std::vector<int> cand;
-    fl.indexOn(vl).queryTouching(lw, cand);
-    return !cand.empty();
-  };
-
+  std::array<std::vector<int>, 3> inA;
+  std::array<std::vector<int>, 3> inB;
+  std::vector<int> vias;
   for (const auto& [a, b] : pairs) {
     const auto w = closedIntersect(srcBBox(a), srcBBox(b));
     if (!w) continue;
     bool seam = false;
-    for (int k = 0; k < 3 && !seam; ++k) {
-      seam = anyPieceTouching(a, k, *w) && anyPieceTouching(b, k, *w);
+    for (int k = 0; k < 3; ++k) {
+      const auto ks = static_cast<std::size_t>(k);
+      queryPieces(a, k, *w, inA[ks]);
+      queryPieces(b, k, *w, inB[ks]);
+      seam = seam || (!inA[ks].empty() && !inB[ks].empty());
     }
-    if (!seam) {
-      seam = anyViaTouching(a, Layer::Contact, *w) || anyViaTouching(b, Layer::Contact, *w) ||
-             anyViaTouching(a, Layer::Buried, *w) || anyViaTouching(b, Layer::Buried, *w);
-    }
+    const auto anyVia = [&](std::size_t s, Layer vl) {
+      queryVias(s, vl, *w, vias);
+      return !vias.empty();
+    };
+    seam = seam || anyVia(a, Layer::Contact) || anyVia(b, Layer::Contact) ||
+           anyVia(a, Layer::Buried) || anyVia(b, Layer::Buried);
     if (!seam) continue;
 
-    // Same-layer abutment: a's pieces in the window vs b's touching them.
+    // Same-layer abutment: the pieces of one side in the window vs the
+    // other side's pieces touching them. Both pieces of a union touch
+    // the window (the shared point lies in it), so either side finds
+    // the same pairs; drive from the side with fewer pieces there. A
+    // die-sized residual holds far more than the placement it meets.
     for (int k = 0; k < 3; ++k) {
-      forPieces(a, k, *w, [&](int ga, const Rect& ra) {
-        forPieces(b, k, ra, [&](int gb, const Rect&) { uf.unite(ga, gb); });
-      });
+      const auto ks = static_cast<std::size_t>(k);
+      const bool fromA = inA[ks].size() <= inB[ks].size();
+      const std::size_t drive = fromA ? a : b;
+      const std::size_t other = fromA ? b : a;
+      const StitchSrc& x = srcX(drive);
+      const geom::Transform t = srcT(drive);
+      for (const int qi : fromA ? inA[ks] : inB[ks]) {
+        const int lp = pieceAt(drive, k, qi);
+        const int g = static_cast<int>(off[drive]) + lp;
+        forPieces(other, k, t(x.res.pieces[static_cast<std::size_t>(lp)].r),
+                  [&](int go, const Rect&) { uf.unite(g, go); });
+      }
     }
 
     // Boundary-straddling vias, with the flat checker's exact rules: a
@@ -637,10 +660,9 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
     const auto viasOf = [&](std::size_t s, Layer vl, bool isCut) {
       const cell::FlatLayout& fl = s < P ? us[ps[s].unit].flat : hier.residual();
       const geom::Transform t = srcT(s);
-      const Rect lw = s < P ? t.inverted()(*w) : *w;
-      const RectIndex& idx = fl.indexOn(vl);
-      for (const int qi : idx.queryTouching(lw)) {
-        viaJoin(t(idx.rect(static_cast<std::size_t>(qi))), isCut);
+      queryVias(s, vl, *w, vias);
+      for (const int qi : vias) {
+        viaJoin(t(fl.indexOn(vl).rect(static_cast<std::size_t>(qi))), isCut);
       }
     };
     viasOf(a, Layer::Contact, true);
@@ -650,13 +672,13 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
   }
 
   // --- 3. net ids: labels (bound at world coordinates) first -------------
-  std::map<int, int> rootToNet;
+  std::vector<int> rootToNet(off[P + 1], -1);
   const auto netOfGlobal = [&](int g) -> int {
-    const int root = uf.find(g);
-    const auto it = rootToNet.find(root);
-    if (it != rootToNet.end()) return it->second;
-    const int id = res.netlist.anonNet();
-    rootToNet[root] = id;
+    int& id = rootToNet[static_cast<std::size_t>(uf.find(g))];
+    if (id < 0) {
+      id = res.netlist.anonNet();
+      ++res.netCount;
+    }
     return id;
   };
   res.labelBindings.reserve(labels.size());
@@ -707,7 +729,6 @@ ExtractResult extractHier(const cell::HierIndex& hier, const std::vector<NetLabe
       (void)netOfGlobal(static_cast<int>(off[s] + i));
     }
   }
-  res.netCount = rootToNet.size();
 
   // --- 5. per-net ERC classification (world coordinates) -----------------
   res.netInfo.resize(res.netlist.nets().size());

@@ -210,13 +210,28 @@ Coord unionAreaBrute(const std::vector<Rect>& rs) {
   return total;
 }
 
+// Both are built by appends: GCC 12's -Wrestrict misfires on
+// "literal" + string in optimized builds (GCC bug 105329).
 std::string toString(Point p) {
-  return "(" + std::to_string(p.x) + "," + std::to_string(p.y) + ")";
+  std::string s = "(";
+  s += std::to_string(p.x);
+  s += ',';
+  s += std::to_string(p.y);
+  s += ')';
+  return s;
 }
 
 std::string toString(const Rect& r) {
-  return "[" + std::to_string(r.x0) + "," + std::to_string(r.y0) + " .. " +
-         std::to_string(r.x1) + "," + std::to_string(r.y1) + "]";
+  std::string s = "[";
+  s += std::to_string(r.x0);
+  s += ',';
+  s += std::to_string(r.y0);
+  s += " .. ";
+  s += std::to_string(r.x1);
+  s += ',';
+  s += std::to_string(r.y1);
+  s += ']';
+  return s;
 }
 
 }  // namespace bb::geom

@@ -290,6 +290,12 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
       }
       if (!inSymbol) {
         topCallId = static_cast<int>(*id);
+      } else if (*id == currentId) {
+        // A symbol that calls itself expands without end: every consumer
+        // (flatten, HierIndex, the writers) would recurse until the stack
+        // runs out. Calls can only name already-defined symbols, so this
+        // is the only way a CIF file can form a cycle.
+        return fail("symbol " + std::to_string(*id) + " calls itself");
       } else if (ensureCurrent() != nullptr) {
         auto it = symbols.find(static_cast<int>(*id));
         if (it == symbols.end()) return fail("call of undefined symbol " + std::to_string(*id));

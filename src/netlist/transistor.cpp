@@ -1,6 +1,7 @@
 #include "netlist/transistor.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace bb::netlist {
 
@@ -19,7 +20,9 @@ int TransistorNetlist::netByName(const std::string& name) {
 
 int TransistorNetlist::anonNet() {
   const int id = static_cast<int>(nets_.size());
-  nets_.push_back(Net{"n" + std::to_string(anon_++), false});
+  std::string name = "n";  // an append, not "n" + string: GCC bug 105329
+  name += std::to_string(anon_++);
+  nets_.push_back(Net{std::move(name), false});
   return id;
 }
 

@@ -6,6 +6,8 @@
 
 #include "cell/hier_index.hpp"
 #include "cell/library.hpp"
+#include "core/samples.hpp"
+#include "core/session.hpp"
 #include "drc/drc.hpp"
 #include "extract/extract.hpp"
 #include "geom/sweep.hpp"
@@ -195,6 +197,82 @@ TEST(HierDrc, SeededCrossInstanceViolationsMatchTheFlatOracle) {
   EXPECT_EQ(flat.violations.size(), 6u) << flat.summary();
   EXPECT_EQ(violationSet(hier), violationSet(flat));
 }
+
+TEST(HierDrc, PolygonSpacingAcrossPlacementsMatchesTheFlatOracle) {
+  // A clean 20L leaf: a metal rect near its left edge and an L-shaped
+  // metal polygon reaching x=19L. At x=0 and 20L the polygon clears the
+  // next instance's rect by exactly 3L; the third instance sits at 39L,
+  // so the middle polygon comes 2L from its rect. The one violation is
+  // polygon-vs-rect and crosses placements.
+  CellLibrary lib;
+  cell::Cell* leaf = lib.create("poly_leaf");
+  leaf->setBoundary(Rect{0, 0, lambda(20), lambda(20)});
+  leaf->addRect(Layer::Metal, Rect{lambda(2), lambda(14), lambda(8), lambda(18)});
+  leaf->addPolygon(Layer::Metal, geom::Polygon{{{lambda(12), lambda(2)},
+                                                {lambda(19), lambda(2)},
+                                                {lambda(19), lambda(12)},
+                                                {lambda(15), lambda(12)},
+                                                {lambda(15), lambda(6)},
+                                                {lambda(12), lambda(6)}}});
+  cell::Cell* top = lib.create("poly_row");
+  top->setBoundary(Rect{0, 0, lambda(60), lambda(20)});
+  for (const Coord x : {Coord{0}, lambda(20), lambda(39)}) {
+    top->addInstance(leaf, geom::Transform::translate({x, 0}));
+  }
+
+  const tech::RuleDeck deck = tech::meadConwayRules();
+  const drc::DeckChecker checker{deck};
+  const drc::DrcReport flat = checker.check(cell::flatten(*top), top->boundary());
+  const drc::DrcReport hier = checker.checkHier(HierIndex{*top});
+  ASSERT_EQ(flat.violations.size(), 1u) << flat.summary();
+  EXPECT_EQ(flat.violations[0].rule, "S.metal.metal.3");
+  EXPECT_EQ(violationSet(hier), violationSet(flat)) << hier.summary();
+}
+
+// ------------------------------------------- compiled-chip equivalence
+
+/// The compiler's own masks read back through the hierarchical CIF: the
+/// path a mask import takes. Unlike the synthetic arrays above, these
+/// have a die-sized residual that pairs with every placement.
+struct SampleChip {
+  const char* label;
+  icl::ChipDesc desc;
+};
+
+class HierCompiledChip : public ::testing::TestWithParam<SampleChip> {};
+
+TEST_P(HierCompiledChip, CifImportChecksAndExtractsLikeTheFlatten) {
+  const auto chip = core::compileChip(GetParam().desc);
+  ASSERT_TRUE(chip) << chip.diagnostics().toString();
+  CellLibrary lib;
+  const layout::CifParseResult parsed =
+      layout::parseCif(layout::writeCifHier(*(*chip)->top), lib);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  const HierIndex hier{*parsed.top};
+  const FlatLayout flat = cell::flatten(*parsed.top);
+  EXPECT_EQ(hier.residualBBox(), hier.residual().bbox());
+  EXPECT_GT(hier.placements().size(), 0u);
+
+  const drc::DeckChecker checker{tech::meadConwayRules()};
+  const drc::DrcReport flatRep = checker.check(flat, parsed.top->boundary());
+  const drc::DrcReport hierRep = checker.checkHier(hier);
+  EXPECT_EQ(violationSet(hierRep), violationSet(flatRep)) << hierRep.summary();
+
+  std::string why;
+  EXPECT_TRUE(extract::netlistsEquivalent(extract::extractHier(hier, {}),
+                                          extract::extractFlat(flat, {}), &why))
+      << why;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Samples, HierCompiledChip,
+    ::testing::Values(SampleChip{"small4", core::samples::smallChip(4)},
+                      SampleChip{"large16x8", core::samples::largeChip(16, 8)},
+                      SampleChip{"segmented8", core::samples::segmentedChip(8)},
+                      SampleChip{"prototype", core::samples::prototypeChip()}),
+    [](const ::testing::TestParamInfo<SampleChip>& info) {
+      return std::string(info.param.label);
+    });
 
 // --------------------------------------------- extraction equivalence
 

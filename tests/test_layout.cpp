@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace bb::layout {
 namespace {
 
@@ -87,6 +89,23 @@ TEST(Cif, ParserRejectsGarbage) {
   EXPECT_FALSE(parseCif("", lib2).ok);
   CellLibrary lib3;
   EXPECT_FALSE(parseCif("DS 1 25 1; C 99 T 0 0; DF; E", lib3).ok);  // undefined call
+}
+
+TEST(Cif, ParserRefusesASymbolThatCallsItself) {
+  // Accepted, this deck would expand without end in flatten/HierIndex.
+  const char* deck =
+      "DS 1 1 1;\n"
+      "L NM;\n"
+      "B 10 10 5 5;\n"
+      "C 1 T 20 0;\n"
+      "DF;\n"
+      "C 1;\n"
+      "E\n";
+  CellLibrary lib;
+  const CifParseResult res = parseCif(deck, lib);
+  EXPECT_FALSE(res.ok);
+  EXPECT_NE(res.error.find("symbol 1"), std::string::npos) << res.error;
+  EXPECT_NE(res.error.find("calls itself"), std::string::npos) << res.error;
 }
 
 TEST(Cif, CommentsSkipped) {

@@ -379,20 +379,26 @@ TEST(EmitterRegistryThreaded, ConcurrentReadersWhileRegistering) {
   reps::EmitterRegistry reg;
   reps::registerBuiltinEmitters(reg);
   constexpr int kCustom = 64;
+  constexpr int kReaders = 4;
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::atomic<std::size_t> lookups{0};
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
+      started.fetch_add(1);
+      do {
         EXPECT_NE(reg.find("cif"), nullptr);
         EXPECT_GE(reg.names().size(), 11u);
         EXPECT_GE(reg.size(), 11u);
         lookups.fetch_add(1, std::memory_order_relaxed);
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
+  // Every reader is in its loop before the first registration, so the
+  // reads really do overlap the writes.
+  while (started.load() < kReaders) std::this_thread::yield();
   for (int i = 0; i < kCustom; ++i) {
     reg.add(std::make_unique<NoopEmitter>("custom" + std::to_string(i)));
     std::this_thread::yield();

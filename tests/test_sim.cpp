@@ -176,7 +176,11 @@ TEST(LogicModel, MergeUnifiesByName) {
 
 TEST(Simulator, ReadDriveBusHelpers) {
   LogicModel lm;
-  for (int i = 0; i < 4; ++i) lm.signal("v" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    std::string name = "v";  // an append: GCC 12 -Wrestrict bug 105329
+    name += std::to_string(i);
+    lm.signal(name);
+  }
   Simulator sim(lm);
   sim.driveBus("v", 4, 0b1010);
   sim.settle();
