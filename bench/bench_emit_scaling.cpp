@@ -11,9 +11,11 @@
 ///     (asserted area-identical to the unmerged mask per layer via
 ///     sweep::unionArea).
 /// SVG rendering is timed for the full and windowed configurations as a
-/// second writer family. Every row where two configurations must agree
-/// asserts exact equivalence, so streaming is never bought with a wrong
-/// mask.
+/// second writer family; full GDS and full sticks-SVG emission complete
+/// the set of geometry writers (`emit_full_gds`, `emit_full_sticks_svg`,
+/// the latter timing `sticksSvg` alone on precomputed sticks). Every
+/// row where two configurations must agree asserts exact equivalence,
+/// so streaming is never bought with a wrong mask.
 ///
 /// Env knobs: BB_BENCH_SMOKE=1 caps the sweep for CI (and skips the
 /// google-benchmark timings).
@@ -22,8 +24,10 @@
 
 #include "geom/sweep.hpp"
 #include "layout/cif.hpp"
+#include "layout/gds.hpp"
 #include "layout/svg.hpp"
 #include "layout/view.hpp"
+#include "reps/sticks.hpp"
 
 #include <chrono>
 #include <cmath>
@@ -90,8 +94,9 @@ void printTable(bool smoke) {
   const Coord tile = lambda(200);
 
   std::printf("== EMIT-SCALING: windowed/tiled layout emission vs full-chip ==\n");
-  std::printf("%8s %12s %12s %10s %12s %12s %12s\n", "rects", "full_ms", "window_ms",
-              "speedup", "merged_ms", "svg_full_ms", "svg_win_ms");
+  std::printf("%8s %12s %12s %10s %12s %12s %12s %12s %12s\n", "rects", "full_ms",
+              "window_ms", "speedup", "merged_ms", "svg_full_ms", "svg_win_ms", "gds_full_ms",
+              "sticks_ms");
   for (const std::size_t n : sizes) {
     const FlatLayout flat = makeFlat(n);
     flat.buildIndexes();  // prewarm so rows time emission, not index builds
@@ -154,8 +159,27 @@ void printTable(bool smoke) {
     bench::BenchJson::instance().recordRun("emit_window_svg", static_cast<long long>(n),
                                            svgWinS);
 
-    std::printf("%8zu %12.2f %12.2f %9.1fx %12.2f %12.2f %12.2f\n", n, fullS * 1e3, winS * 1e3,
-                fullS / (winS > 0 ? winS : 1e-9), mergedS * 1e3, svgFullS * 1e3, svgWinS * 1e3);
+    std::vector<std::uint8_t> gds;
+    const double gdsS = timeIt([&] { gds = layout::writeGds(flat, ViewOptions{}); });
+    bench::BenchJson::instance().recordRun("emit_full_gds", static_cast<long long>(n), gdsS);
+    if (layout::writeGds(flat, atBbox) != gds) {
+      std::fprintf(stderr, "FATAL: window==bbox GDS diverged from full emission at n=%zu\n", n);
+      std::abort();
+    }
+
+    const std::vector<reps::Stick> sticks = reps::sticksOf(flat);
+    std::string sticksSvg;
+    const double sticksS = timeIt([&] { sticksSvg = reps::sticksSvg(sticks); });
+    bench::BenchJson::instance().recordRun("emit_full_sticks_svg", static_cast<long long>(n),
+                                           sticksS);
+    if (reps::sticksSvg(reps::sticksOf(flat, atBbox)) != sticksSvg) {
+      std::fprintf(stderr, "FATAL: window==bbox sticks-SVG diverged from full at n=%zu\n", n);
+      std::abort();
+    }
+
+    std::printf("%8zu %12.2f %12.2f %9.1fx %12.2f %12.2f %12.2f %12.2f %12.2f\n", n,
+                fullS * 1e3, winS * 1e3, fullS / (winS > 0 ? winS : 1e-9), mergedS * 1e3,
+                svgFullS * 1e3, svgWinS * 1e3, gdsS * 1e3, sticksS * 1e3);
   }
   std::printf("(viewport 1/8 x 1/8 of bbox, tile pitch 200L)\n\n");
 }

@@ -115,6 +115,14 @@ struct CompiledChip {
   /// not thread-safe: call once before sharing the chip across threads
   /// (finalize fills flatTop; BatchCompiler hands each chip to one
   /// worker). Subsequent calls are const reads.
+  ///
+  /// The registry's emitters read these caches and their layer indexes:
+  /// svg draws `flatTop`; sticks, sticks-svg, spice and transistors read
+  /// `flatCore`; windowed cif and gds read `flatTop` (`hierTop` when
+  /// hierarchical). Emitting from one chip on several threads therefore
+  /// needs the same warm-up — `flatTop()`, `flatCore()` and
+  /// `buildIndexes()` on each — which `svc::CompileService`'s prewarm
+  /// does.
   [[nodiscard]] const cell::FlatLayout& flatTop() const;
   [[nodiscard]] const cell::FlatLayout& flatCore() const;
 

@@ -142,7 +142,17 @@ class DecodeParser {
   }
 
   SumOfProducts fieldEq(const FieldDecl& f, long long value, bool negated, SourceLoc loc) {
-    const long long maxv = (1ll << f.bits()) - 1;
+    // A malformed declaration can reach here (the parser reports it but
+    // keeps going): compare only fields inside the word whose values fit
+    // a long long, so neither the shift nor the bit loops below go wrong.
+    const long long width = static_cast<long long>(f.hi) - f.lo + 1;
+    if (f.lo < 0 || f.hi >= mc_.width || width < 1 || width > 62) {
+      diags_.error(loc, "field '" + f.name + "' [" + std::to_string(f.lo) + ":" +
+                            std::to_string(f.hi) + "] cannot be compared: it must lie inside the " +
+                            std::to_string(mc_.width) + "-bit microcode word and span 1..62 bits");
+      return constant(false);
+    }
+    const long long maxv = (1ll << width) - 1;
     if (value < 0 || value > maxv) {
       diags_.error(loc, "value " + std::to_string(value) + " out of range for field '" + f.name +
                             "' (0.." + std::to_string(maxv) + ")");
@@ -212,7 +222,7 @@ class DecodeParser {
       return fieldEq(*f, v, ne, loc);
     }
     // Bare field: must be single-bit.
-    if (f->bits() != 1) {
+    if (f->hi != f->lo) {
       diags_.error(loc, "bare use of multi-bit field '" + name + "' (use field==N)");
       return constant(false);
     }

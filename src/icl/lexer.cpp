@@ -1,6 +1,7 @@
 #include "icl/lexer.hpp"
 
 #include <cctype>
+#include <limits>
 
 namespace bb::icl {
 
@@ -72,16 +73,20 @@ std::vector<Token> tokenize(std::string_view src, DiagnosticList& diags) {
     if (std::isdigit(static_cast<unsigned char>(c))) {
       long long v = 0;
       std::string w;
-      bool hex = false;
+      bool overflow = false;
+      // Append one digit, refusing (once) to step past LLONG_MAX.
+      const auto accumulate = [&](int base, int d) {
+        if (v > (std::numeric_limits<long long>::max() - d) / base) overflow = true;
+        if (!overflow) v = v * base + d;
+      };
       if (c == '0' && i + 1 < src.size() && (src[i + 1] == 'x' || src[i + 1] == 'X')) {
-        hex = true;
         w = "0x";
         advance(2);
         while (i < src.size() && std::isxdigit(static_cast<unsigned char>(src[i]))) {
           const char d = src[i];
-          v = v * 16 + (std::isdigit(static_cast<unsigned char>(d))
-                            ? d - '0'
-                            : std::tolower(static_cast<unsigned char>(d)) - 'a' + 10);
+          accumulate(16, std::isdigit(static_cast<unsigned char>(d))
+                             ? d - '0'
+                             : std::tolower(static_cast<unsigned char>(d)) - 'a' + 10);
           w += d;
           advance();
         }
@@ -92,12 +97,16 @@ std::vector<Token> tokenize(std::string_view src, DiagnosticList& diags) {
         }
       } else {
         while (i < src.size() && std::isdigit(static_cast<unsigned char>(src[i]))) {
-          v = v * 10 + (src[i] - '0');
+          accumulate(10, src[i] - '0');
           w += src[i];
           advance();
         }
       }
-      (void)hex;
+      if (overflow) {
+        diags.error(at, "integer literal " + w + " is out of range");
+        out.push_back({TokKind::Error, std::move(w), 0, at});
+        continue;
+      }
       out.push_back({TokKind::Number, std::move(w), v, at});
       continue;
     }

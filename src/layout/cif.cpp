@@ -1,7 +1,9 @@
 #include "layout/cif.hpp"
 
+#include "core/text_sink.hpp"
+
 #include <map>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace bb::layout {
@@ -22,7 +24,7 @@ void collect(const Cell& c, std::vector<const Cell*>& order,
 
 /// CIF transform suffix for one of our D4 orientations. CIF applies the
 /// listed operations left to right; CIF MX negates x, MY negates y.
-std::string cifOrient(Orientation o) {
+std::string_view cifOrient(Orientation o) {
   switch (o) {
     case Orientation::R0: return "";
     case Orientation::R90: return " R 0 1";
@@ -43,7 +45,7 @@ std::string writeCif(const Cell& top, const CifOptions& opts) {
   std::map<const Cell*, int> ids;
   collect(top, order, ids);
 
-  std::ostringstream os;
+  core::TextSink os;
   if (opts.comments) {
     os << "( Bristle Blocks silicon compiler -- CIF 2.0 mask set );\n";
     os << "( top cell: " << top.name() << " );\n";
@@ -97,13 +99,13 @@ std::string writeCif(const Cell& top, const CifOptions& opts) {
   }
   os << "C " << ids[&top] << ";\n";
   os << "E\n";
-  return os.str();
+  return std::move(os).take();
 }
 
 std::string writeCifHier(const Cell& top, const CifOptions& opts) { return writeCif(top, opts); }
 
 std::string writeCif(const View& v, const CifOptions& opts) {
-  std::ostringstream os;
+  core::TextSink os;
   if (opts.comments) {
     os << "( Bristle Blocks silicon compiler -- CIF 2.0 mask set );\n";
     os << "( flat artwork, window " << geom::toString(v.window()) << " );\n";
@@ -139,7 +141,7 @@ std::string writeCif(const View& v, const CifOptions& opts) {
   os << "DF;\n";
   os << "C 1;\n";
   os << "E\n";
-  return os.str();
+  return std::move(os).take();
 }
 
 std::string writeCif(const cell::FlatLayout& flat, const ViewOptions& view,
@@ -149,9 +151,11 @@ std::string writeCif(const cell::FlatLayout& flat, const ViewOptions& view,
 
 CifStats cifStats(const std::string& cif) {
   CifStats st;
-  std::istringstream is(cif);
-  std::string line;
-  while (std::getline(is, line)) {
+  std::string_view rest = cif;
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    const std::string_view line = rest.substr(0, nl);
+    rest = nl == std::string_view::npos ? std::string_view{} : rest.substr(nl + 1);
     // Skip leading whitespace.
     std::size_t i = line.find_first_not_of(" \t");
     if (i == std::string::npos) continue;

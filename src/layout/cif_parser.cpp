@@ -63,10 +63,27 @@ class Scanner {
     }
     long long v = 0;
     while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      v = v * 10 + (text_[pos_++] - '0');
+      const int d = text_[pos_++] - '0';
+      if (v > (kMaxMagnitude - d) / 10) {
+        outOfRange_ = true;
+        while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+          ++pos_;
+        }
+        return std::nullopt;
+      }
+      v = v * 10 + d;
     }
     return neg ? -v : v;
   }
+
+  /// Largest integer magnitude a CIF number may have: far beyond any
+  /// real mask, and small enough that box corners (center ± half the
+  /// size) and placement offsets summed down a hierarchy stay well
+  /// inside 64 bits.
+  static constexpr long long kMaxMagnitude = 1'000'000'000'000'000;
+
+  /// True once `number` has met a digit run above `kMaxMagnitude`.
+  [[nodiscard]] bool outOfRange() const noexcept { return outOfRange_; }
 
   std::string word() {
     skipWs();
@@ -92,6 +109,7 @@ class Scanner {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  bool outOfRange_ = false;
 };
 
 geom::Orientation orientFromOps(bool mx, bool my, int rot) {
@@ -121,9 +139,12 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
   cell::Cell* lastDefined = nullptr;
   int topCallId = -1;
 
+  // An out-of-range number reads as "no number", which a command may
+  // report as malformed, or a coordinate list take as its end; either
+  // way the real cause is the number, and parsing stops there.
   auto fail = [&](const std::string& msg) {
     res.ok = false;
-    res.error = msg;
+    res.error = sc.outOfRange() ? "integer out of range (CIF numbers are limited to 10^15)" : msg;
     return res;
   };
 
@@ -141,6 +162,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
   };
 
   while (!sc.atEnd()) {
+    if (sc.outOfRange()) return fail({});
     const char c = sc.peek();
     if (c == '(') {
       sc.get();
@@ -313,6 +335,7 @@ CifParseResult parseCif(std::string_view text, cell::CellLibrary& lib) {
     sc.finishCommand();
   }
 
+  if (sc.outOfRange()) return fail({});
   res.ok = true;
   if (topCallId >= 0 && symbols.contains(topCallId)) {
     res.top = symbols[topCallId];

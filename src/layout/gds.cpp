@@ -3,9 +3,12 @@
 #include "geom/poly.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstring>
+#include <initializer_list>
 #include <map>
+#include <span>
+#include <string_view>
 #include <utility>
 
 namespace bb::layout {
@@ -47,53 +50,48 @@ enum : std::uint8_t {
   kDtAscii = 0x06,
 };
 
+/// Appends GDSII records straight into one output vector: each record
+/// writes its 4-byte header (length, type, data type) and then its
+/// big-endian payload in place, so no record allocates.
 class Emitter {
  public:
-  void record(std::uint8_t type, std::uint8_t dtype, const std::vector<std::uint8_t>& payload) {
-    const std::size_t len = payload.size() + 4;
-    bytes_.push_back(static_cast<std::uint8_t>(len >> 8));
-    bytes_.push_back(static_cast<std::uint8_t>(len & 0xff));
-    bytes_.push_back(type);
-    bytes_.push_back(dtype);
-    bytes_.insert(bytes_.end(), payload.begin(), payload.end());
+  void i16(std::uint8_t type, std::initializer_list<std::int16_t> vals) {
+    std::uint8_t* p = record(type, kDtI16, 2 * vals.size());
+    for (const std::int16_t v : vals) p = put(p, static_cast<std::uint16_t>(v), 2);
   }
 
-  void i16(std::uint8_t type, std::vector<std::int16_t> vals) {
-    std::vector<std::uint8_t> p;
-    for (std::int16_t v : vals) {
-      p.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-      p.push_back(static_cast<std::uint8_t>(v & 0xff));
-    }
-    record(type, kDtI16, p);
+  void i32(std::uint8_t type, std::span<const std::int32_t> vals) {
+    std::uint8_t* p = record(type, kDtI32, 4 * vals.size());
+    for (const std::int32_t v : vals) p = put(p, static_cast<std::uint32_t>(v), 4);
+  }
+  void i32(std::uint8_t type, std::initializer_list<std::int32_t> vals) {
+    i32(type, std::span<const std::int32_t>(vals.begin(), vals.size()));
   }
 
-  void i32(std::uint8_t type, const std::vector<std::int32_t>& vals) {
-    std::vector<std::uint8_t> p;
-    for (std::int32_t v : vals) {
-      p.push_back(static_cast<std::uint8_t>((v >> 24) & 0xff));
-      p.push_back(static_cast<std::uint8_t>((v >> 16) & 0xff));
-      p.push_back(static_cast<std::uint8_t>((v >> 8) & 0xff));
-      p.push_back(static_cast<std::uint8_t>(v & 0xff));
-    }
-    record(type, kDtI32, p);
+  /// An XY record of points, repeating the first point when `close` (a
+  /// boundary ring) — the coordinates go out as 32-bit integers.
+  void xy(std::span<const geom::Point> pts, bool close) {
+    std::uint8_t* p = record(kXy, kDtI32, 8 * (pts.size() + (close ? 1 : 0)));
+    for (const geom::Point q : pts) p = putPoint(p, q);
+    if (close) putPoint(p, pts.front());
   }
 
-  void f64(std::uint8_t type, const std::vector<double>& vals) {
-    std::vector<std::uint8_t> p;
-    for (double v : vals) {
+  void f64(std::uint8_t type, std::initializer_list<double> vals) {
+    std::uint8_t* p = record(type, kDtF64, 8 * vals.size());
+    for (const double v : vals) {
       const auto r = real8(v);
-      p.insert(p.end(), r.begin(), r.end());
+      p = std::copy(r.begin(), r.end(), p);
     }
-    record(type, kDtF64, p);
   }
 
-  void ascii(std::uint8_t type, std::string s) {
-    if (s.size() % 2 != 0) s.push_back('\0');  // records are even-length
-    std::vector<std::uint8_t> p(s.begin(), s.end());
-    record(type, kDtAscii, p);
+  void ascii(std::uint8_t type, std::string_view s) {
+    // Records are even-length: odd strings get one NUL pad byte (which
+    // record() has already zeroed).
+    std::uint8_t* p = record(type, kDtAscii, s.size() + s.size() % 2);
+    std::copy(s.begin(), s.end(), p);
   }
 
-  void none(std::uint8_t type) { record(type, kDtNone, {}); }
+  void none(std::uint8_t type) { record(type, kDtNone, 0); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(bytes_); }
 
@@ -122,6 +120,28 @@ class Emitter {
   }
 
  private:
+  /// Append a record header for `payload` bytes and return where the
+  /// (zero-filled) payload starts.
+  std::uint8_t* record(std::uint8_t type, std::uint8_t dtype, std::size_t payload) {
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + 4 + payload);
+    std::uint8_t* p = put(bytes_.data() + at, static_cast<std::uint16_t>(payload + 4), 2);
+    p[0] = type;
+    p[1] = dtype;
+    return p + 2;
+  }
+
+  /// Write the low `n` bytes of `v` big-endian; returns the end.
+  static std::uint8_t* put(std::uint8_t* p, std::uint32_t v, int n) {
+    for (int i = n - 1; i >= 0; --i) *p++ = static_cast<std::uint8_t>(v >> (8 * i));
+    return p;
+  }
+
+  static std::uint8_t* putPoint(std::uint8_t* p, geom::Point q) {
+    p = put(p, static_cast<std::uint32_t>(static_cast<std::int32_t>(q.x)), 4);
+    return put(p, static_cast<std::uint32_t>(static_cast<std::int32_t>(q.y)), 4);
+  }
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -132,7 +152,7 @@ void collect(const Cell& c, std::vector<const Cell*>& order, std::map<const Cell
   order.push_back(&c);
 }
 
-std::vector<std::int32_t> rectXy(const geom::Rect& r) {
+std::array<std::int32_t, 10> rectXy(const geom::Rect& r) {
   return {static_cast<std::int32_t>(r.x0), static_cast<std::int32_t>(r.y0),
           static_cast<std::int32_t>(r.x1), static_cast<std::int32_t>(r.y0),
           static_cast<std::int32_t>(r.x1), static_cast<std::int32_t>(r.y1),
@@ -207,16 +227,7 @@ void emitPolyBoundary(Emitter& e, std::int16_t layer, const geom::Polygon& p) {
   e.none(kBoundary);
   e.i16(kLayer, {layer});
   e.i16(kDatatype, {0});
-  std::vector<std::int32_t> xy;
-  xy.reserve(2 * (p.pts.size() + 1));
-  for (geom::Point q : p.pts) {
-    xy.push_back(static_cast<std::int32_t>(q.x));
-    xy.push_back(static_cast<std::int32_t>(q.y));
-  }
-  // GDS boundaries repeat the first point.
-  xy.push_back(static_cast<std::int32_t>(p.pts[0].x));
-  xy.push_back(static_cast<std::int32_t>(p.pts[0].y));
-  e.i32(kXy, xy);
+  e.xy(p.pts, true);  // GDS boundaries repeat the first point
   e.none(kEndEl);
 }
 
@@ -241,12 +252,7 @@ void emitShapes(Emitter& e, const Cell& c) {
             e.i16(kLayer, {static_cast<std::int16_t>(layer)});
             e.i16(kDatatype, {0});
             e.i32(kWidth, {static_cast<std::int32_t>(g.width)});
-            std::vector<std::int32_t> xy;
-            for (geom::Point p : g.pts) {
-              xy.push_back(static_cast<std::int32_t>(p.x));
-              xy.push_back(static_cast<std::int32_t>(p.y));
-            }
-            e.i32(kXy, xy);
+            e.xy(g.pts, false);
             e.none(kEndEl);
           }
         },

@@ -1,6 +1,8 @@
 #include "layout/svg.hpp"
 
-#include <sstream>
+#include "core/text_sink.hpp"
+
+#include <array>
 
 namespace bb::layout {
 
@@ -21,7 +23,7 @@ std::string xmlEscape(std::string_view s) {
 
 namespace {
 
-void openDoc(std::ostringstream& os, const geom::Rect& bb, const SvgOptions& opts) {
+void openDoc(core::TextSink& os, const geom::Rect& bb, const SvgOptions& opts) {
   const double s = opts.pixelsPerUnit;
   const double w = static_cast<double>(bb.width()) * s + 20;
   const double h = static_cast<double>(bb.height()) * s + 20;
@@ -41,22 +43,27 @@ struct Mapper {
   }
 };
 
-void emitRect(std::ostringstream& os, const Mapper& m, const geom::Rect& r, tech::Layer l,
-              double opacity) {
-  os << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
-     << static_cast<double>(r.width()) * m.s << "\" height=\""
-     << static_cast<double>(r.height()) * m.s << "\" fill=\"" << tech::displayColor(l)
-     << "\" fill-opacity=\"" << opacity << "\"/>\n";
-}
-
-void emitFlat(std::ostringstream& os, const Mapper& m, const View& view, double opacity) {
+void emitFlat(core::TextSink& os, const Mapper& m, const View& view, double opacity) {
+  // Every shape on a layer ends in the same fill attributes: format
+  // them once per layer, not once per shape.
+  std::array<std::string, tech::kLayerCount> fill;
+  for (tech::Layer l : tech::kAllLayers) {
+    core::TextSink f;
+    f << "\" fill=\"" << tech::displayColor(l) << "\" fill-opacity=\"" << opacity << "\"/>\n";
+    fill[static_cast<std::size_t>(l)] = std::move(f).take();
+  }
   // Draw in stack order: diffusion, implant, buried, poly, contact, metal, glass.
   const tech::Layer order[] = {tech::Layer::Diffusion, tech::Layer::Implant, tech::Layer::Buried,
                                tech::Layer::Poly,      tech::Layer::Contact, tech::Layer::Metal,
                                tech::Layer::Glass};
   for (tech::Layer l : order) {
+    const std::string& suffix = fill[static_cast<std::size_t>(l)];
     view.forEachTileParallel(l, [&](std::size_t, std::size_t, const std::vector<geom::Rect>& rs) {
-      for (const geom::Rect& r : rs) emitRect(os, m, r, l, opacity);
+      for (const geom::Rect& r : rs) {
+        os << "<rect x=\"" << m.x(r.x0) << "\" y=\"" << m.y(r.y1) << "\" width=\""
+           << static_cast<double>(r.width()) * m.s << "\" height=\""
+           << static_cast<double>(r.height()) * m.s << suffix;
+      }
     });
   }
   // Polygon pieces under the View's clipping policy (window-crossing
@@ -64,11 +71,11 @@ void emitFlat(std::ostringstream& os, const Mapper& m, const View& view, double 
   for (const auto& [l, p] : view.windowPolygons()) {
     os << "<polygon points=\"";
     for (geom::Point q : p.pts) os << m.x(q.x) << ',' << m.y(q.y) << ' ';
-    os << "\" fill=\"" << tech::displayColor(l) << "\" fill-opacity=\"" << opacity << "\"/>\n";
+    os << fill[static_cast<std::size_t>(l)];
   }
 }
 
-void emitOverlayPoint(std::ostringstream& os, const Mapper& m, const SvgOverlayPoint& p) {
+void emitOverlayPoint(core::TextSink& os, const Mapper& m, const SvgOverlayPoint& p) {
   // The color is caller-supplied text too — escape it like the label.
   const std::string color = xmlEscape(p.color);
   os << "<circle cx=\"" << m.x(p.at.x) << "\" cy=\"" << m.y(p.at.y)
@@ -79,45 +86,51 @@ void emitOverlayPoint(std::ostringstream& os, const Mapper& m, const SvgOverlayP
   }
 }
 
-/// True when the overlay point should be drawn: always for a full render,
-/// only inside the viewport for a windowed one.
-bool overlayVisible(const SvgOptions& opts, geom::Point at) {
-  return !opts.view.window || opts.view.window->contains(at);
-}
-
-}  // namespace
-
-std::string renderSvg(const cell::Cell& top, const SvgOptions& opts) {
-  const cell::FlatLayout flat = cell::flatten(top);
-  std::vector<SvgOverlayPoint> overlay;
-  if (opts.drawBristles) {
-    for (const cell::Bristle& b : top.bristles()) {
-      overlay.push_back({b.pos, b.name, "#aa00aa"});
-    }
-  }
-  std::ostringstream os;
-  const geom::Rect bb =
-      opts.view.window ? *opts.view.window : top.boundary().unionWith(flat.bbox());
+/// The document both public overloads draw: `flat`'s geometry mapped
+/// from `bb`, then the dashed `boundary` outline when given, then the
+/// overlay markers (inside the viewport only, for a windowed render).
+std::string render(const cell::FlatLayout& flat, const geom::Rect& bb,
+                   const geom::Rect* boundary, const std::vector<SvgOverlayPoint>& overlay,
+                   const SvgOptions& opts) {
+  core::TextSink os;
   openDoc(os, bb, opts);
   const Mapper m{bb, opts.pixelsPerUnit};
   emitFlat(os, m, View{flat, opts.view}, opts.fillOpacity);
-  if (opts.drawBoundary) {
-    const geom::Rect b = top.boundary();
+  if (boundary != nullptr) {
+    const geom::Rect& b = *boundary;
     os << "<rect x=\"" << m.x(b.x0) << "\" y=\"" << m.y(b.y1) << "\" width=\""
        << static_cast<double>(b.width()) * m.s << "\" height=\""
        << static_cast<double>(b.height()) * m.s
        << "\" fill=\"none\" stroke=\"#444\" stroke-dasharray=\"4 3\"/>\n";
   }
   for (const SvgOverlayPoint& p : overlay) {
-    if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
+    if (!opts.view.window || opts.view.window->contains(p.at)) emitOverlayPoint(os, m, p);
   }
   os << "</svg>\n";
-  return os.str();
+  return std::move(os).take();
+}
+
+}  // namespace
+
+std::string renderSvg(const cell::Cell& top, const SvgOptions& opts) {
+  return renderSvg(top, cell::flatten(top), opts);
+}
+
+std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
+                      const SvgOptions& opts) {
+  std::vector<SvgOverlayPoint> overlay;
+  if (opts.drawBristles) {
+    for (const cell::Bristle& b : top.bristles()) {
+      overlay.push_back({b.pos, b.name, "#aa00aa"});
+    }
+  }
+  const geom::Rect boundary = top.boundary();
+  const geom::Rect bb = opts.view.window ? *opts.view.window : boundary.unionWith(flat.bbox());
+  return render(flat, bb, opts.drawBoundary ? &boundary : nullptr, overlay, opts);
 }
 
 std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlayPoint>& overlay,
                       const SvgOptions& opts) {
-  std::ostringstream os;
   geom::Rect bb;
   if (opts.view.window) {
     bb = *opts.view.window;
@@ -127,14 +140,7 @@ std::string renderSvg(const cell::FlatLayout& flat, const std::vector<SvgOverlay
       bb = bb.unionWith(geom::Rect{p.at.x, p.at.y, p.at.x, p.at.y});
     }
   }
-  openDoc(os, bb, opts);
-  const Mapper m{bb, opts.pixelsPerUnit};
-  emitFlat(os, m, View{flat, opts.view}, opts.fillOpacity);
-  for (const SvgOverlayPoint& p : overlay) {
-    if (overlayVisible(opts, p.at)) emitOverlayPoint(os, m, p);
-  }
-  os << "</svg>\n";
-  return os.str();
+  return render(flat, bb, nullptr, overlay, opts);
 }
 
 }  // namespace bb::layout

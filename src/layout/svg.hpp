@@ -38,8 +38,19 @@ struct SvgOptions {
   ViewOptions view;
 };
 
-/// Render a cell (flattened) to an SVG document.
+/// Render a cell (flattened) to an SVG document: its artwork, the
+/// dashed boundary outline (`drawBoundary`) and a marker per bristle
+/// (`drawBristles`). Flattens `top` on every call; the overload below
+/// draws an existing flatten instead.
 [[nodiscard]] std::string renderSvg(const cell::Cell& top, const SvgOptions& opts = {});
+
+/// The same document drawn from `flat`, which must be `cell::flatten(top)`
+/// — e.g. `CompiledChip::flatTop()`, whose per-layer indexes are then
+/// reused instead of rebuilt. The outline and bristle markers come from
+/// `top`. Reads `flat`'s lazy indexes, so the first call on a fresh
+/// flatten is not thread-safe (see `FlatLayout::indexOn`).
+[[nodiscard]] std::string renderSvg(const cell::Cell& top, const cell::FlatLayout& flat,
+                                    const SvgOptions& opts = {});
 
 /// Render pre-flattened artwork with an optional overlay of labelled
 /// points (used by the sticks / block representations and pad-ring demos).

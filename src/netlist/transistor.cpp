@@ -1,6 +1,7 @@
 #include "netlist/transistor.hpp"
 
-#include <sstream>
+#include "core/text_sink.hpp"
+
 #include <utility>
 
 namespace bb::netlist {
@@ -52,7 +53,7 @@ int TransistorNetlist::findNet(const std::string& name) const noexcept {
 }
 
 std::string TransistorNetlist::toText() const {
-  std::ostringstream os;
+  core::TextSink os;
   os << "transistor diagram: " << trans_.size() << " devices ("
      << enhancementCount() << " enh, " << depletionCount() << " dep), " << nets_.size()
      << " nets\n";
@@ -67,7 +68,7 @@ std::string TransistorNetlist::toText() const {
        << " d=" << nn(t.drain) << " w/l=" << t.width << '/' << t.length << " at "
        << geom::toString(t.at) << "\n";
   }
-  return os.str();
+  return std::move(os).take();
 }
 
 }  // namespace bb::netlist

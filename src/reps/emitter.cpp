@@ -114,22 +114,21 @@ void emitGdsWindowed(const core::CompiledChip& chip, std::ostream& os,
            static_cast<std::streamsize>(bytes.size()));
 }
 
-void emitSvg(const core::CompiledChip& chip, std::ostream& os) {
-  layout::SvgOptions opts;
-  opts.title = chip.desc.name;
-  opts.pixelsPerUnit = 0.25;
-  os << layout::renderSvg(*chip.top, opts);
-}
-
+/// The registry's layout render: the cached die flatten (so its layer
+/// indexes are built once per chip, not once per call or viewport) with
+/// the top cell's boundary outline and bristle markers; a windowed
+/// render skips the markers outside the window.
 void emitSvgWindowed(const core::CompiledChip& chip, std::ostream& os,
                      const EmitterOptions& eopts) {
   layout::SvgOptions opts;
   opts.title = chip.desc.name;
   opts.pixelsPerUnit = 0.25;
   opts.view = toViewOptions(eopts);
-  // The Cell overload keeps the boundary outline and bristle markers of
-  // the plain svg path; markers outside the window are skipped there.
-  os << layout::renderSvg(*chip.top, opts);
+  os << layout::renderSvg(*chip.top, chip.flatTop(), opts);
+}
+
+void emitSvg(const core::CompiledChip& chip, std::ostream& os) {
+  emitSvgWindowed(chip, os, EmitterOptions{});
 }
 
 void emitSpice(const core::CompiledChip& chip, std::ostream& os) {

@@ -44,7 +44,7 @@ struct EmitterOptions {
   /// (symbol calls / SREF+AREF, never a flattened copy); windowed cif/gds
   /// open the `View` over `CompiledChip::hierTop()`, so the viewport
   /// resolves only window-touching instances. Non-geometry backends (and
-  /// svg, which renders from the cell tree already) ignore it.
+  /// svg, which draws the cached flatten) ignore it.
   bool hierarchical = false;
 
   /// True when any windowing/streaming behaviour was requested.

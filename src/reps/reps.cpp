@@ -1,5 +1,6 @@
 #include "reps/reps.hpp"
 
+#include "core/text_sink.hpp"
 #include "extract/extract.hpp"
 #include "layout/cif.hpp"
 #include "layout/gds.hpp"
@@ -7,8 +8,6 @@
 #include "reps/blockrep.hpp"
 #include "reps/sticks.hpp"
 #include "reps/textrep.hpp"
-
-#include <sstream>
 
 namespace bb::reps {
 
@@ -40,7 +39,7 @@ int RepresentationSet::populatedCount() const noexcept {
 namespace {
 
 std::string simulationSummary(const core::CompiledChip& chip) {
-  std::ostringstream os;
+  core::TextSink os;
   os << "simulation model: " << chip.logic.gates().size() << " gates over "
      << chip.logic.signalCount() << " signals\n";
   for (const auto& [kind, n] : chip.logic.histogram()) {
@@ -48,7 +47,7 @@ std::string simulationSummary(const core::CompiledChip& chip) {
   }
   os << "drive mc0.." << chip.desc.microcode.width - 1
      << " and clock phi1/phi2 to execute microcode; buses busA<i>/busB<i>.\n";
-  return os.str();
+  return std::move(os).take();
 }
 
 std::string transistorSummary(const core::CompiledChip& chip) {
@@ -56,9 +55,7 @@ std::string transistorSummary(const core::CompiledChip& chip) {
   // core is the electrically faithful part).
   const extract::ExtractResult ex =
       extract::extractFlat(chip.flatCore(), extract::labelsOf(*chip.core));
-  std::ostringstream os;
-  os << "extracted from core artwork:\n" << ex.netlist.toText();
-  return os.str();
+  return "extracted from core artwork:\n" + ex.netlist.toText();
 }
 
 }  // namespace

@@ -4,12 +4,12 @@
 
 #include "reps/textrep.hpp"
 
-#include <sstream>
+#include "core/text_sink.hpp"
 
 namespace bb::reps {
 
 std::string userManual(const core::CompiledChip& chip) {
-  std::ostringstream os;
+  core::TextSink os;
   os << "==========================================================\n";
   os << " USER'S MANUAL — chip '" << chip.desc.name << "'\n";
   os << " compiled by the Bristle Blocks silicon compiler\n";
@@ -57,7 +57,7 @@ std::string userManual(const core::CompiledChip& chip) {
   os << "\n7. ELECTRICAL\n";
   os << "   static supply current " << chip.stats.power_ua / 1000.0 << " mA; supply rails "
      << chip.stats.powerRailWidth / geom::kUnitsPerLambda << "L wide\n";
-  return os.str();
+  return std::move(os).take();
 }
 
 }  // namespace bb::reps

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace bb::icl {
 namespace {
 
@@ -52,6 +55,39 @@ TEST(Lexer, ErrorsReported) {
   DiagnosticList d2;
   (void)tokenize("@", d2);
   EXPECT_TRUE(d2.hasErrors());
+}
+
+TEST(Lexer, OutOfRangeLiteralsAreDiagnosedNotOverflowed) {
+  for (const char* src : {"1234567890123456789012345", "9223372036854775808",
+                          "0x1FFFFFFFFFFFFFFFF"}) {
+    DiagnosticList d;
+    const auto toks = tokenize(src, d);
+    EXPECT_TRUE(d.hasErrors()) << src;
+    EXPECT_NE(d.toString().find("out of range"), std::string::npos) << d.toString();
+    ASSERT_FALSE(toks.empty());
+    EXPECT_EQ(toks[0].kind, TokKind::Error) << src;
+  }
+  // The largest long long still lexes, in either base.
+  DiagnosticList d;
+  const auto toks = tokenize("9223372036854775807 0x7FFFFFFFFFFFFFFF", d);
+  EXPECT_FALSE(d.hasErrors()) << d.toString();
+  ASSERT_GE(toks.size(), 2u);
+  EXPECT_EQ(toks[0].number, std::numeric_limits<long long>::max());
+  EXPECT_EQ(toks[1].number, std::numeric_limits<long long>::max());
+}
+
+TEST(Parser, HugeNumberInASourceIsADiagnostic) {
+  const std::string src = R"(
+chip demo;
+microcode width 8 { field op [0:1234567890123456789012345]; }
+data width 8;
+buses A, B;
+core { register R0 (in = A, out = B, load = "op==1", drive = "op==2"); }
+)";
+  DiagnosticList d;
+  (void)parseChip(src, d);
+  EXPECT_TRUE(d.hasErrors());
+  EXPECT_NE(d.toString().find("out of range"), std::string::npos) << d.toString();
 }
 
 TEST(Parser, GoodChipParses) {
@@ -207,6 +243,27 @@ TEST(Decode, ErrorsDiagnosed) {
     (void)compileDecode("op==9", m, d);  // out of range
     EXPECT_TRUE(d.hasErrors());
   }
+}
+
+TEST(Decode, FieldsThatCannotBeComparedAreDiagnosed) {
+  // Each of these used to reach `1ll << bits()` with a shift of 63 or
+  // more, or a negative one: both undefined behaviour.
+  MicrocodeDecl m;
+  m.width = 80;
+  m.fields = {{"wide", 0, 70, {}}, {"backwards", 12, 10, {}}, {"outside", 78, 81, {}},
+              {"ok", 72, 75, {}}};
+  for (const char* expr : {"wide==1", "backwards==0", "backwards!=0", "outside==1"}) {
+    DiagnosticList d;
+    const SumOfProducts sop = compileDecode(expr, m, d);
+    EXPECT_TRUE(d.hasErrors()) << expr;
+    EXPECT_NE(d.toString().find("cannot be compared"), std::string::npos) << d.toString();
+    EXPECT_TRUE(sop.alwaysFalse()) << expr;
+  }
+  DiagnosticList d;
+  const SumOfProducts sop = compileDecode("ok==5", m, d);
+  EXPECT_FALSE(d.hasErrors()) << d.toString();
+  ASSERT_EQ(sop.cubes.size(), 1u);
+  EXPECT_EQ(sop.cubes[0].literals(), 4);
 }
 
 TEST(Cube, IntersectAndLiterals) {

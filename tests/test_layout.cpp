@@ -108,6 +108,26 @@ TEST(Cif, ParserRefusesASymbolThatCallsItself) {
   EXPECT_NE(res.error.find("calls itself"), std::string::npos) << res.error;
 }
 
+TEST(Cif, ParserRefusesAnOutOfRangeNumber) {
+  // 25-digit runs used to overflow the parser's long long accumulator.
+  for (const char* deck : {"DS 1 1 1; L NM; B 1234567890123456789012345 10 5 5; DF; E",
+                           "DS 1 1 1; L NM; W 4 0 0 99999999999999999999999999 0; DF; E",
+                           "DS 1 1 1; L NM; P 0 0 10 0 10 -1234567890123456789012345; DF; E",
+                           "DS 1 99999999999999999999 1; L NM; B 10 10 5 5; DF; E",
+                           "DS 1 1 1; L NM; B 10 10 5 5; DF; C 1 T 0 10000000000000001; E"}) {
+    CellLibrary lib;
+    const CifParseResult res = parseCif(deck, lib);
+    EXPECT_FALSE(res.ok) << deck;
+    EXPECT_NE(res.error.find("out of range"), std::string::npos) << deck << ": " << res.error;
+  }
+  // The bound itself is accepted.
+  CellLibrary lib;
+  const CifParseResult res =
+      parseCif("DS 1 1 1; L NM; B 2 2 1000000000000000 -1000000000000000; DF; E", lib);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.top->shapes().size(), 1u);
+}
+
 TEST(Cif, CommentsSkipped) {
   CellLibrary lib;
   const auto res = parseCif("( a (nested) comment ); DS 1 125 2; 9 x; L NM; B 8 8 4 4; DF; E",

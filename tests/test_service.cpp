@@ -15,6 +15,7 @@
 #include "core/session.hpp"
 #include "icl/builder.hpp"
 #include "layout/cif.hpp"
+#include "layout/svg.hpp"
 #include "reps/emitter.hpp"
 #include "svc/cache.hpp"
 #include "svc/service.hpp"
@@ -542,6 +543,38 @@ TEST(CompileService, WholeArtworkViewportMatchesPlainEmission) {
   const svc::EmitResponse whole = service.viewport(vp);
   ASSERT_TRUE(whole.ok);
   EXPECT_EQ(whole.payload, full.payload);
+}
+
+TEST(CompileService, SvgEmitsAndViewportsMatchAFreshRenderOfTheTopCell) {
+  // The svg emitter draws the chip's cached flatten; renderSvg(Cell)
+  // flattens the top cell afresh. Same bytes, full and windowed.
+  svc::CompileService service;
+  for (const icl::ChipDesc& desc :
+       {core::samples::smallChip(4), core::samples::largeChip(16, 8),
+        core::samples::prototypeChip(), core::samples::segmentedChip(8)}) {
+    const auto req = svc::CompileRequest::ofDesc(desc);
+    const svc::CompileResponse compiled = service.compile(req);
+    ASSERT_TRUE(compiled.ok()) << compiled.diags.toString();
+    const core::CompiledChip& chip = *compiled.chip;
+    layout::SvgOptions opts;
+    opts.title = desc.name;
+    opts.pixelsPerUnit = 0.25;
+
+    const svc::EmitResponse full = service.emit(req, "svg");
+    ASSERT_TRUE(full.ok);
+    EXPECT_EQ(full.payload, layout::renderSvg(*chip.top, opts)) << desc.name;
+
+    const geom::Rect bb = chip.flatTop().bbox();
+    svc::ViewportRequest vp;
+    vp.chip = req;
+    vp.format = "svg";
+    vp.window = geom::Rect{bb.x0 + bb.width() / 4, bb.y0 + bb.height() / 4,
+                           bb.x0 + bb.width() / 2, bb.y0 + bb.height() / 2};
+    const svc::EmitResponse windowed = service.viewport(vp);
+    ASSERT_TRUE(windowed.ok);
+    opts.view.window = vp.window;
+    EXPECT_EQ(windowed.payload, layout::renderSvg(*chip.top, opts)) << desc.name;
+  }
 }
 
 TEST(CompileService, UnknownFormatIsDiagnosedNotFatal) {
